@@ -20,6 +20,11 @@ run cargo build --release --workspace --offline
 # see tests/proptest_stack.rs for how to pin a failing case.
 run env PROPTEST_CASES=32 cargo test -q --workspace --offline
 
+# The repo benchmark (perfbench/) is its own package outside the
+# workspace; its tests — the metric manifest and the TimedBackend
+# byte-equality check among them — run here, not under --workspace.
+run cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # rustfmt / clippy are optional components; skip gracefully where absent.
 if cargo fmt --version >/dev/null 2>&1; then
     run cargo fmt --all --check

@@ -25,7 +25,8 @@
 //! and device-local completion timestamps are mapped back to fleet time
 //! through the device's clock history.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use desim::{ClockMap, Dur, EngineStats, Horizon, SimTime};
 use pagoda_core::trace::TaskTrace;
@@ -80,9 +81,16 @@ struct Device {
     id: u32,
     clock: ClockMap,
     alive: bool,
-    /// fleet key → device-local id, insertion-ordered for deterministic
-    /// harvest order.
-    outstanding: BTreeMap<u64, TaskId>,
+    /// `(fleet key, device-local id)` of tasks whose completion the host
+    /// side has not yet observed. Each holds a TaskTable entry the host
+    /// knows is in use, so the list never outgrows the table.
+    unobserved: Vec<(u64, TaskId)>,
+    /// Observed completions the causal gate has not yet released, as
+    /// `(device-local output time, fleet key, id)`, earliest first. The
+    /// key is local time because it never changes; the fleet instant is
+    /// mapped when an entry is popped, so a later slowdown remaps every
+    /// entry still banked here.
+    banked: BinaryHeap<Reverse<(SimTime, u64, TaskId)>>,
     spawned: u64,
     completed: u64,
     /// Last `(known_free, outstanding, alive)` tuple emitted to the
@@ -105,8 +113,13 @@ impl Device {
         DeviceView {
             alive: self.alive,
             known_free: self.rt.capacity().known_free,
-            outstanding: self.outstanding.len() as u32,
+            outstanding: self.tracked(),
         }
+    }
+
+    /// Tasks the fleet still tracks here: unobserved plus banked.
+    fn tracked(&self) -> u32 {
+        (self.unobserved.len() + self.banked.len()) as u32
     }
 
     /// Emits a [`DeviceSample`] at fleet instant `at` if the device's
@@ -121,7 +134,7 @@ impl Device {
             } else {
                 0
             },
-            self.outstanding.len() as u32,
+            self.tracked(),
             self.alive,
         );
         if !force && self.last_sample == Some(tuple) {
@@ -137,43 +150,60 @@ impl Device {
         });
     }
 
-    /// Scans `outstanding` for completions observable host-side, mapping
-    /// device-local output timestamps to fleet time.
+    /// Appends to `out` the completions observable host-side on this
+    /// device (fleet index `index`), mapping device-local output
+    /// timestamps to fleet time, in `(local time, key)` order.
     ///
-    /// With `gate` set, a completion only counts once the fleet clock
-    /// has reached its mapped fleet instant. Device clocks legitimately
-    /// run ahead of the horizon (parallel spawn costs, per-round
-    /// copyback costs), and for a *slowed* device that run-ahead is
-    /// cheap local time that maps far into the fleet future — without
-    /// the gate, the fleet would observe those completions early and a
-    /// slowdown would cost nothing. Kill-harvest passes `gate = false`:
-    /// it reads the device's final local state, whenever that ran to.
-    fn scan_finished(&self, fleet_now: SimTime, gate: bool) -> Vec<(SimTime, u64)> {
-        self.outstanding
-            .iter()
-            .filter_map(|(&key, &id)| {
-                let done = self
-                    .rt
-                    .observed_done(id)
-                    .expect("invariant: fleet only holds ids its devices issued");
-                if !done {
-                    return None;
-                }
-                let local = self
-                    .rt
+    /// Tasks the last copy-back observed move from `unobserved` into
+    /// `banked`; then banked entries are released earliest first. With
+    /// `gate` set, a completion only counts once the fleet clock has
+    /// reached its mapped fleet instant. Device clocks legitimately run
+    /// ahead of the horizon (parallel spawn costs, per-round copyback
+    /// costs), and for a *slowed* device that run-ahead is cheap local
+    /// time that maps far into the fleet future — without the gate, the
+    /// fleet would observe those completions early and a slowdown would
+    /// cost nothing. Because [`ClockMap::fleet_of`] is non-decreasing
+    /// in local time, the released set is a prefix of the heap, so the
+    /// work is the table-bounded `unobserved` pass plus the releases.
+    /// Kill-harvest passes `gate = false`: it reads the device's final
+    /// local state, whenever that ran to, and drains the heap.
+    fn harvest(&mut self, index: usize, fleet_now: SimTime, gate: bool, out: &mut Vec<Completion>) {
+        let Device {
+            rt,
+            clock,
+            unobserved,
+            banked,
+            ..
+        } = self;
+        unobserved.retain(|&(key, id)| {
+            let done = rt
+                .observed_done(id)
+                .expect("invariant: fleet only holds ids its devices issued");
+            if done {
+                let local = rt
                     .trace(id)
                     .expect("invariant: fleet only holds ids its devices issued")
                     .output_done
                     .expect("invariant: observed-done task has an output time");
-                let at = self.clock.fleet_of(local);
-                if gate && at > fleet_now {
-                    return None;
-                }
-                Some((at, key))
-            })
-            .collect()
+                banked.push(Reverse((local, key, id)));
+            }
+            !done
+        });
+        while let Some(&Reverse((local, key, id))) = banked.peek() {
+            let at = clock.fleet_of(local);
+            if gate && at > fleet_now {
+                break;
+            }
+            banked.pop();
+            out.push((at, index, key, id));
+        }
     }
 }
+
+/// One harvested completion, `(fleet instant, device, key, device-local
+/// id)`. Sorting orders the fleet merge: keys are unique per device, so
+/// the id never breaks a tie.
+type Completion = (SimTime, usize, u64, TaskId);
 
 /// Per-device slice of a [`FleetReport`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -229,6 +259,8 @@ pub struct FleetReport {
 pub struct ClusterHandle {
     devices: Vec<Device>,
     placer: Placer,
+    /// Scratch for [`Placer::place`], refilled on every route.
+    views: Vec<DeviceView>,
     interconnect: PcieConfig,
     xfer_bytes: u64,
     retry: RetryPolicy,
@@ -280,7 +312,8 @@ impl ClusterHandle {
                 id: cfg.device_id(i),
                 clock: ClockMap::identity(),
                 alive: true,
-                outstanding: BTreeMap::new(),
+                unobserved: Vec::new(),
+                banked: BinaryHeap::new(),
                 spawned: 0,
                 completed: 0,
                 last_sample: None,
@@ -289,6 +322,7 @@ impl ClusterHandle {
         Ok(ClusterHandle {
             devices,
             placer: Placer::new(cfg.placement, cfg.seed, cfg.affinity_spread),
+            views: Vec::with_capacity(cfg.devices.len()),
             interconnect: cfg.interconnect,
             xfer_bytes: cfg.xfer_bytes,
             retry: cfg.retry,
@@ -411,8 +445,9 @@ impl ClusterHandle {
         desc: TaskDesc,
         staged_on: Option<usize>,
     ) -> Result<(usize, TaskId, bool, bool), SubmitError> {
-        let views: Vec<DeviceView> = self.devices.iter().map(Device::view).collect();
-        let Some(device) = self.placer.place(tenant, &views) else {
+        self.views.clear();
+        self.views.extend(self.devices.iter().map(Device::view));
+        let Some(device) = self.placer.place(tenant, &self.views) else {
             return Err(SubmitError::Full(desc));
         };
         let off_home = !self.placer.is_home(tenant, device, self.devices.len());
@@ -448,7 +483,7 @@ impl ClusterHandle {
         resubmit: bool,
     ) {
         let d = &mut self.devices[device];
-        d.outstanding.insert(key, id);
+        d.unobserved.push((key, id));
         d.spawned += 1;
         self.tasks[key as usize].status = Status::InFlight { device };
         self.tasks[key as usize].staged_on = Some(device);
@@ -489,12 +524,12 @@ impl ClusterHandle {
     /// devices with room. Costs simulated time on each device, like
     /// [`PagodaRuntime::sync_table`].
     ///
-    /// The per-device half (copy-back + completion scan) is independent
-    /// across devices and runs on the thread pool under
-    /// [`ClusterConfig::parallel`]; the merge orders all observed
+    /// The per-device half (copy-back + completion harvest) is
+    /// independent across devices and runs on the thread pool under
+    /// [`ClusterConfig::parallel`]; the merge orders all released
     /// completions by `(fleet instant, device, key)` before applying
     /// them, so the completion/resubmission sequence is identical
-    /// however the scan was scheduled.
+    /// however the harvest was scheduled.
     pub fn sync(&mut self) {
         // The mark precedes the batch: everything applied before the
         // next mark belongs to this sync point, and (gate honored) maps
@@ -508,12 +543,11 @@ impl ClusterHandle {
     }
 
     /// Phase 1 of [`sync`](ClusterHandle::sync): per-device copy-back +
-    /// completion scan, returning the merged `(at, device, key)` list.
-    fn sync_devices(&mut self, gate: bool) -> Vec<(SimTime, usize, u64)> {
-        type DeviceScan = (usize, Vec<(SimTime, u64)>, ObsFork);
+    /// completion harvest, returning the merged completion list.
+    fn sync_devices(&mut self, gate: bool) -> Vec<Completion> {
         let fleet_now = self.fleet_now;
         let obs = self.obs.clone();
-        let mut merged: Vec<(SimTime, usize, u64)> = Vec::new();
+        let mut merged: Vec<Completion> = Vec::new();
         if self.parallel {
             let work: Vec<(usize, &mut Device, ObsFork)> = self
                 .devices
@@ -522,20 +556,21 @@ impl ClusterHandle {
                 .filter(|(_, d)| d.alive)
                 .map(|(i, d)| (i, d, obs.fork()))
                 .collect();
-            let scans: Vec<DeviceScan> = work
+            let harvests: Vec<(Vec<Completion>, ObsFork)> = work
                 .into_par_iter()
                 .map(|(i, d, fork)| {
                     d.rt.sync_table();
                     d.sample(fleet_now, &fork.obs(), false);
-                    let finished = d.scan_finished(fleet_now, gate);
-                    (i, finished, fork)
+                    let mut finished = Vec::new();
+                    d.harvest(i, fleet_now, gate, &mut finished);
+                    (finished, fork)
                 })
                 .collect();
             // Joins happen in device order regardless of which thread
             // ran which device — the recorder sees the serial stream.
-            for (i, finished, fork) in scans {
+            for (finished, fork) in harvests {
                 obs.join(fork);
-                merged.extend(finished.into_iter().map(|(at, key)| (at, i, key)));
+                merged.extend(finished);
             }
         } else {
             for (i, d) in self.devices.iter_mut().enumerate() {
@@ -544,11 +579,7 @@ impl ClusterHandle {
                 }
                 d.rt.sync_table();
                 d.sample(fleet_now, &obs, false);
-                merged.extend(
-                    d.scan_finished(fleet_now, gate)
-                        .into_iter()
-                        .map(|(at, key)| (at, i, key)),
-                );
+                d.harvest(i, fleet_now, gate, &mut merged);
             }
         }
         // The fleet-level tie-break: completions apply in fleet-time
@@ -562,9 +593,8 @@ impl ClusterHandle {
 
     /// Phase 2 of [`sync`](ClusterHandle::sync): applies merged
     /// completions in `(at, device, key)` order.
-    fn apply_completions(&mut self, merged: Vec<(SimTime, usize, u64)>) {
-        for (at, device, key) in merged {
-            let id = self.devices[device].outstanding.remove(&key);
+    fn apply_completions(&mut self, merged: Vec<Completion>) {
+        for (at, device, key, id) in merged {
             self.devices[device].completed += 1;
             self.tasks[key as usize].status = Status::Done { at };
             self.unresolved -= 1;
@@ -573,7 +603,7 @@ impl ClusterHandle {
             // without these cuts, fleet-level profiling would collapse
             // staging, MTB wait, and SMM wait into one opaque span.
             if self.obs.enabled() {
-                if let Some(tr) = id.and_then(|id| self.devices[device].rt.trace(id).ok()) {
+                if let Ok(tr) = self.devices[device].rt.trace(id) {
                     for (t, st) in [
                         (tr.entry_visible, TaskState::Enqueued),
                         (tr.schedulable, TaskState::Placed),
@@ -711,24 +741,24 @@ impl ClusterHandle {
                 // exempt from the harvest gate: the device's local
                 // clock may have run past the kill instant.
                 self.obs.sync_mark(at.as_ps(), SyncKind::KillHarvest);
-                self.devices[f.device].rt.sync_table();
-                let finished = {
-                    let d = &mut self.devices[f.device];
-                    d.sample(at, &obs, false);
-                    d.scan_finished(at, false)
-                };
-                let mut merged: Vec<(SimTime, usize, u64)> = finished
-                    .into_iter()
-                    .map(|(t, key)| (t, f.device, key))
-                    .collect();
+                let d = &mut self.devices[f.device];
+                d.rt.sync_table();
+                d.sample(at, &obs, false);
+                let mut merged = Vec::new();
+                d.harvest(f.device, at, false, &mut merged);
                 merged.sort_unstable();
                 self.apply_completions(merged);
                 self.devices[f.device].alive = false;
                 self.kills += 1;
                 self.obs.count(Counter::ClusterDeviceKills, 1);
-                let stranded: Vec<u64> =
-                    self.devices[f.device].outstanding.keys().copied().collect();
-                self.devices[f.device].outstanding.clear();
+                // The ungated harvest drained the bank; what is left never
+                // completed. Strand it in key order.
+                let mut stranded: Vec<u64> = self.devices[f.device]
+                    .unobserved
+                    .drain(..)
+                    .map(|(key, _)| key)
+                    .collect();
+                stranded.sort_unstable();
                 let mut dropped_one = false;
                 for key in stranded {
                     // The payload died with the device: a resubmission

@@ -199,6 +199,33 @@ mod tests {
             assert!(l >= prev, "local clock went backwards at {us}us");
             prev = l;
         }
+
+        // `fleet_of` must be non-decreasing too: the fleet's completion
+        // harvest releases a prefix of its local-time-ordered heap and
+        // relies on it. Probe picosecond-adjacent local instants around
+        // every rate knee, where rounding in two segments meets.
+        for factor in [1.0, 1.5, 3.0, 8.0] {
+            let mut c = ClockMap::identity();
+            for (i, us) in [3u64, 7, 7, 20].into_iter().enumerate() {
+                // Alternate slow and healthy so knees go both ways; the
+                // repeated instant stacks two changes on one knee.
+                let rate = if i % 2 == 0 { 1.0 / factor } else { 1.0 };
+                c.set_rate(SimTime::from_ps(us * 1_000_000 + 333), rate);
+            }
+            let knees: Vec<u64> = c.segs.iter().map(|s| s.local.as_ps()).collect();
+            for knee in knees {
+                let lo = knee.saturating_sub(8);
+                let mut prev = c.fleet_of(SimTime::from_ps(lo));
+                for ps in lo + 1..=knee + 8 {
+                    let f = c.fleet_of(SimTime::from_ps(ps));
+                    assert!(
+                        f >= prev,
+                        "fleet clock went backwards at local {ps}ps (factor {factor})"
+                    );
+                    prev = f;
+                }
+            }
+        }
     }
 
     #[test]
