@@ -45,15 +45,6 @@ run cargo build --release --offline -p pagoda-bench
 # Smoke the serving benchmark: must produce deterministic curves.
 run cargo run --release --offline -p pagoda-bench --bin serve_curves -- --quick --json >/dev/null
 
-# Observability overhead gates: a disabled/null recorder may cost at
-# most 5% of simulator events/sec, and profiling-on (the pagoda-prof
-# tee) at most 10% (the bin exits nonzero past either gate). The real
-# bounds are enforced by full-size runs and the committed BENCH_obs.json
-# / BENCH_prof.json; --smoke widens them to 15%/25% because ~3 ms smoke
-# reps are noise-dominated on a shared CI box. The smoke results go to
-# scratch paths so CI never dirties the tree.
-run cargo run --release --offline -p pagoda-bench --bin obs_overhead -- --smoke --out target/BENCH_obs_smoke.json --out-prof target/BENCH_prof_smoke.json
-
 # Profiler smoke: serve the multi-tenant demo on a two-device fleet with
 # critical-path profiling on. The example itself asserts the telescoping
 # contract (phase sums reconcile with sojourns in every group) and that
@@ -73,12 +64,14 @@ run cargo run --release --offline -p pagoda-bench --bin cluster_scaling -- --smo
 # gated — a 1-core box cannot speed anything up.
 run cargo run --release --offline -p pagoda-bench --bin cluster_scaling -- --smoke --parallel --out target/BENCH_parallel_smoke.json
 
-# Hot-path gate: desim queue ops/sec, end-to-end tasks/sec, and the mem
-# recorder's overhead over a disabled run (the bin exits nonzero past
-# any gate). The real <=12% mem bound is enforced by full-size runs and
-# the committed BENCH_hotpath.json; --smoke widens it to 25% because
-# ~3 ms smoke reps are noise-dominated on a shared CI box. The smoke
-# result goes to a scratch path so CI never dirties the tree.
+# Hot-path and observability-overhead gates (the bin exits nonzero past
+# any of them): the indexed desim queue must beat the lazy-deletion
+# oracle on churn, and the null recorder, the pagoda-prof tee and the
+# mem recorder may cost at most 5% / 10% / 12% of simulator events/sec
+# over a disabled run at full size (the committed BENCH_hotpath.json).
+# --smoke widens those to null 15%, prof 25%, mem 25% because ~3 ms
+# smoke reps are noise-dominated on a shared CI box. The smoke result
+# goes to a scratch path so CI never dirties the tree.
 run cargo run --release --offline -p pagoda-bench --bin hotpath -- --smoke --out target/BENCH_hotpath_smoke.json
 
 # Invariant checking (pagoda-check). Two gates, both exit nonzero on

@@ -38,10 +38,10 @@
 //! Run with `cargo run --release -p pagoda-bench --bin cluster_scaling`
 //! (add `--smoke` for the CI-sized run).
 
-use gpu_sim::WarpWork;
+use pagoda_bench::{host_cores, narrow_task, write_report_and_gate};
 use pagoda_check::{CheckLimits, CheckRecorder};
 use pagoda_cluster::{ClusterConfig, ClusterHandle, Placement};
-use pagoda_core::{SubmitError, TaskDesc};
+use pagoda_core::SubmitError;
 use pagoda_prof::{ProfReport, ProfSummary};
 use pagoda_serve::{percentile, serve_on, Policy, ServeConfig, TenantSpec};
 use serde::Serialize;
@@ -126,16 +126,6 @@ struct ParallelReport {
     attribution: ProfSummary,
 }
 
-/// The uniform narrow task of the scaling batch: 4 warps, ~30 us of
-/// device work, a small payload each way — the paper's "narrow task"
-/// shape, heavy enough that execution (not spawning) bounds a device.
-fn task() -> TaskDesc {
-    let mut t = TaskDesc::uniform(128, WarpWork::compute(60_000, 8.0));
-    t.input_bytes = 1024;
-    t.output_bytes = 1024;
-    t
-}
-
 /// Closed-loop batch on an `n`-device fleet; returns simulated makespan
 /// in microseconds.
 fn scaling_run(n: usize, tasks: usize) -> f64 {
@@ -165,12 +155,12 @@ fn drive_batch(n: usize, tasks: usize, parallel: bool, obs: pagoda_obs::Obs) -> 
     let mut fleet = ClusterHandle::new(cfg).expect("uniform config is valid");
     fleet.attach_obs(obs);
     let mut spawned = 0usize;
-    let mut pending = task();
+    let mut pending = narrow_task();
     while spawned < tasks {
         match fleet.submit(pending) {
             Ok(_) => {
                 spawned += 1;
-                pending = task();
+                pending = narrow_task();
             }
             Err(SubmitError::Full(desc)) => {
                 fleet.sync();
@@ -258,12 +248,12 @@ fn equality_run(parallel: bool) -> ((String, Vec<Option<f64>>, String), pagoda_o
     let mut fleet = ClusterHandle::new(cfg).expect("equality config is valid");
     fleet.attach_obs(obs);
     let mut keys = Vec::new();
-    let mut pending = task();
+    let mut pending = narrow_task();
     while keys.len() < 256 {
         match fleet.submit(pending) {
             Ok(k) => {
                 keys.push(k);
-                pending = task();
+                pending = narrow_task();
             }
             Err(SubmitError::Full(desc)) => {
                 fleet.sync();
@@ -292,7 +282,7 @@ fn equality_run(parallel: bool) -> ((String, Vec<Option<f64>>, String), pagoda_o
 }
 
 fn parallel_main(smoke: bool, gate: f64, out: String) {
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_cores = host_cores();
     let (device_counts, batch): (&[usize], usize) =
         if smoke { (&[4], 768) } else { (&[4, 8], 2048) };
 
@@ -345,7 +335,16 @@ fn parallel_main(smoke: bool, gate: f64, out: String) {
         .iter()
         .find(|p| p.devices == GATE_DEVICES)
         .map_or(0.0, |p| p.speedup);
-    let pass = byte_equal && (!gate_enforced || measured >= gate);
+    let mut failures = Vec::new();
+    if !byte_equal {
+        failures.push("parallel driver is not byte-identical to serial".to_string());
+    }
+    if gate_enforced && measured < gate {
+        failures.push(format!(
+            "{GATE_DEVICES}-device wall-clock speedup {measured:.2}x \
+             < required {gate:.2}x ({host_cores} cores)"
+        ));
+    }
     let report = ParallelReport {
         bench: "cluster_scaling_parallel".into(),
         smoke,
@@ -354,25 +353,12 @@ fn parallel_main(smoke: bool, gate: f64, out: String) {
         gate_required: gate,
         gate_enforced,
         gate_measured: measured,
-        pass,
+        pass: failures.is_empty(),
         byte_equal,
         points,
         attribution: ProfReport::from_buffer(&serial_buf).summary(),
     };
-    let json = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write(&out, format!("{json}\n")).expect("write report");
-    eprintln!("wrote {out}");
-    if !byte_equal {
-        eprintln!("GATE FAILED: parallel driver is not byte-identical to serial");
-        std::process::exit(1);
-    }
-    if gate_enforced && measured < gate {
-        eprintln!(
-            "GATE FAILED: {GATE_DEVICES}-device wall-clock speedup {measured:.2}x \
-             < required {gate:.2}x ({host_cores} cores)"
-        );
-        std::process::exit(1);
-    }
+    write_report_and_gate(&report, &out, &failures);
     if gate_enforced {
         eprintln!("gate passed: {measured:.2}x >= {gate:.2}x at {GATE_DEVICES} devices");
     } else {
@@ -468,27 +454,24 @@ fn main() {
         .iter()
         .find(|p| p.devices == GATE_DEVICES)
         .map_or(0.0, |p| p.speedup);
-    let pass = measured >= gate;
+    let mut failures = Vec::new();
+    if measured < gate {
+        failures.push(format!(
+            "{GATE_DEVICES}-device speedup {measured:.2}x < required {gate:.2}x"
+        ));
+    }
     let report = BenchReport {
         bench: "cluster_scaling".into(),
         smoke,
-        host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        host_cores: host_cores(),
         gate_devices: GATE_DEVICES,
         gate_required: gate,
         gate_measured: measured,
-        pass,
+        pass: failures.is_empty(),
         scaling,
         skew,
         attribution: attribution_run(GATE_DEVICES, batch),
     };
-    let json = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write(&out, format!("{json}\n")).expect("write report");
-    eprintln!("wrote {out}");
-    if !pass {
-        eprintln!(
-            "GATE FAILED: {GATE_DEVICES}-device speedup {measured:.2}x < required {gate:.2}x"
-        );
-        std::process::exit(1);
-    }
+    write_report_and_gate(&report, &out, &failures);
     eprintln!("gate passed: {measured:.2}x >= {gate:.2}x at {GATE_DEVICES} devices");
 }

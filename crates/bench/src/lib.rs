@@ -285,6 +285,38 @@ pub fn emit_json(cli: &Cli, points: &[DataPoint]) {
     }
 }
 
+/// The narrow task the wall-clock harnesses (`hotpath`,
+/// `cluster_scaling`) drive: 128 threads (4 warps), ~30 us of device
+/// work, 1 KiB in and 1 KiB out — the paper's "narrow task" shape,
+/// heavy enough that execution (not spawning) bounds a device.
+pub fn narrow_task() -> TaskDesc {
+    let mut t = TaskDesc::uniform(128, gpu_sim::WarpWork::compute(60_000, 8.0));
+    t.input_bytes = 1024;
+    t.output_bytes = 1024;
+    t
+}
+
+/// `std::thread::available_parallelism()` on this host (1 if unknown) —
+/// recorded in every BENCH report as context for its wall-clock numbers.
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The common tail of a gated bench: writes `report` as one JSON line
+/// to `out`, then prints each failure as `FAIL: …` and exits 1 if there
+/// was any. Returns only when every gate passed.
+pub fn write_report_and_gate<T: Serialize>(report: &T, out: &str, failures: &[String]) {
+    let json = serde_json::to_string(report).expect("report serializes");
+    std::fs::write(out, json + "\n").unwrap_or_else(|e| panic!("write {out}: {e}"));
+    eprintln!("wrote {out}");
+    if !failures.is_empty() {
+        for f in failures {
+            eprintln!("FAIL: {f}");
+        }
+        std::process::exit(1);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

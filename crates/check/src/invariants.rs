@@ -29,10 +29,6 @@
 //! 8. **Staging accounting** — staged transfers never exceed off-home
 //!    placements (a transfer is only ever charged for an off-home
 //!    placement).
-//! 9. **Phase decomposition** — at end of run, every completed task's
-//!    `pagoda-prof` phase decomposition sums exactly to its sojourn
-//!    (the telescoping contract the profiler's attribution rests on),
-//!    recomputed here from the checker's own cut timeline.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -40,9 +36,8 @@ use std::fmt;
 use pagoda_core::warptable::EXECUTORS_PER_MTB;
 use pagoda_core::PagodaConfig;
 use pagoda_obs::{
-    Counter, DeviceSample, MtbSample, SmmSample, SyncKind, SyncMark, TaskEvent, TaskMark, TaskState,
+    Counter, DeviceSample, MtbSample, SmmSample, SyncKind, SyncMark, TaskEvent, TaskState,
 };
-use pagoda_prof::{decompose, Cuts};
 
 /// Resource ceilings the capacity invariants compare samples against,
 /// derived once from the runtime configuration of the (uniform) devices
@@ -189,16 +184,6 @@ pub enum Violation {
         /// Outstanding tasks in its final sample.
         outstanding: u32,
     },
-    /// End of run: a completed task's phase decomposition does not sum
-    /// to its sojourn — the profiler's telescoping contract broke.
-    PhaseSumMismatch {
-        /// The task.
-        task: u64,
-        /// Sum of the seven phase durations, picoseconds.
-        phase_sum_ps: u64,
-        /// The sojourn the phases must partition, picoseconds.
-        sojourn_ps: u64,
-    },
     /// A QoS scheduler broke its ordering contract (reported by
     /// [`QosCheck`](crate::QosCheck)).
     QosOrder {
@@ -302,15 +287,6 @@ impl fmt::Display for Violation {
                 f,
                 "device {device} ended the run with {outstanding} task(s) outstanding"
             ),
-            Violation::PhaseSumMismatch {
-                task,
-                phase_sum_ps,
-                sojourn_ps,
-            } => write!(
-                f,
-                "task {task} phase decomposition sums to {phase_sum_ps} ps, \
-                 sojourn is {sojourn_ps} ps"
-            ),
             Violation::QosOrder {
                 policy,
                 expected,
@@ -336,9 +312,6 @@ pub struct CheckCore {
     limits: Option<CheckLimits>,
     /// task → last lifecycle state seen.
     task_state: BTreeMap<u64, TaskState>,
-    /// task → phase-cut timeline, rebuilt from lifecycle events and
-    /// marks for the end-of-run decomposition check (invariant 9).
-    cuts: BTreeMap<u64, Cuts>,
     spawned: u64,
     terminal: u64,
     staged: u64,
@@ -362,7 +335,6 @@ impl CheckCore {
         CheckCore {
             limits,
             task_state: BTreeMap::new(),
-            cuts: BTreeMap::new(),
             spawned: 0,
             terminal: 0,
             staged: 0,
@@ -399,13 +371,8 @@ impl CheckCore {
         self.violations.is_empty() && self.dropped == 0
     }
 
-    /// Invariant 1 (lifecycle), 6 (merge order), 7 (causality); also
-    /// feeds the cut timeline for invariant 9.
+    /// Invariant 1 (lifecycle), 6 (merge order), 7 (causality).
     pub fn on_task(&mut self, ev: TaskEvent) {
-        self.cuts
-            .entry(ev.task)
-            .or_default()
-            .note_state(ev.state, ev.at_ps);
         match self.task_state.get(&ev.task).copied() {
             None => {
                 if ev.state == TaskState::Spawned {
@@ -458,15 +425,6 @@ impl CheckCore {
                 self.batch_freed = Some(ev.at_ps.max(self.batch_freed.unwrap_or(0)));
             }
         }
-    }
-
-    /// Feeds arrival/admission/observation marks into the cut timeline
-    /// for the end-of-run decomposition check (invariant 9).
-    pub fn on_mark(&mut self, m: TaskMark) {
-        self.cuts
-            .entry(m.task)
-            .or_default()
-            .note_mark(m.kind, m.at_ps);
     }
 
     /// Invariant 3 (SMM capacity).
@@ -603,26 +561,6 @@ impl CheckCore {
                 outstanding,
             });
         }
-        // Invariant 9: every completed task's phase decomposition must
-        // partition its sojourn exactly (the telescoping contract all
-        // pagoda-prof attribution rests on).
-        let mismatches: Vec<Violation> = self
-            .cuts
-            .iter()
-            .filter(|(_, c)| c.complete())
-            .filter_map(|(&task, c)| {
-                let d = decompose(c)?;
-                let phase_sum_ps: u64 = d.phases.iter().sum();
-                (phase_sum_ps != d.sojourn_ps).then_some(Violation::PhaseSumMismatch {
-                    task,
-                    phase_sum_ps,
-                    sojourn_ps: d.sojourn_ps,
-                })
-            })
-            .collect();
-        for v in mismatches {
-            self.flag(v);
-        }
     }
 }
 
@@ -649,40 +587,6 @@ mod tests {
         }
         c.finish();
         assert!(c.is_clean(), "{:?}", c.violations());
-    }
-
-    #[test]
-    fn marks_feed_cuts_and_phase_sums_reconcile() {
-        use pagoda_obs::MarkKind;
-        let mut c = CheckCore::new(None);
-        c.on_mark(TaskMark {
-            at_ps: 5,
-            task: 0,
-            kind: MarkKind::Arrived,
-        });
-        c.on_mark(TaskMark {
-            at_ps: 8,
-            task: 0,
-            kind: MarkKind::Admitted,
-        });
-        for (at, s) in [
-            (10, TaskState::Spawned),
-            (20, TaskState::Enqueued),
-            (35, TaskState::Running),
-            (60, TaskState::Freed),
-        ] {
-            c.on_task(ev(at, 0, s));
-        }
-        c.on_mark(TaskMark {
-            at_ps: 70,
-            task: 0,
-            kind: MarkKind::Observed,
-        });
-        c.finish();
-        assert!(c.is_clean(), "{:?}", c.violations());
-        let d = decompose(&c.cuts[&0]).expect("task completed");
-        assert_eq!(d.sojourn_ps, 65); // arrival (5) → observed (70)
-        assert_eq!(d.phases.iter().sum::<u64>(), 65);
     }
 
     #[test]

@@ -85,7 +85,6 @@ impl Recorder for CheckRecorder {
     }
 
     fn mark(&self, m: TaskMark) {
-        self.core().on_mark(m);
         self.inner.mark(m);
     }
 

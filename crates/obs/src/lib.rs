@@ -15,7 +15,7 @@
 //!
 //! Design rule: *zero dependency on the hot path*. A disabled handle
 //! ([`Obs::off`]) costs one `Option` discriminant test per site; the
-//! `obs_overhead` bench in `crates/bench` gates this at ≤ 5 % of sim
+//! `hotpath` bench in `crates/bench` gates this at ≤ 5 % of sim
 //! throughput. Recording goes through the [`Recorder`] trait —
 //! [`NullRecorder`] to measure dispatch cost, [`MemRecorder`] to buffer
 //! for the exporters in [`export`] (chrome://tracing with one track per

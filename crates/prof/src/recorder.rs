@@ -17,7 +17,7 @@
 //! dispatched* mem-backed [`Obs`] handle (`Obs::with_mem`) rather than
 //! routing through `dyn Recorder`: recording with profiling on is the
 //! mem capture path, instruction for instruction, which is what keeps
-//! the `obs_overhead` prof gate honest.
+//! the `hotpath` bench's prof gate honest.
 //!
 //! Parallel fleets fork per-device buffers and join them in device
 //! order (the default [`Recorder::fork`]/[`Recorder::join`]), so the
